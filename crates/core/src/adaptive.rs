@@ -233,43 +233,12 @@ pub(crate) fn run_adaptive(
     })
 }
 
-/// One-shot adaptive analysis, kept as a shim over a private
-/// [`Engine`](crate::Engine) — the fresh engine discards the cross-width
-/// certificates a long-lived engine would keep.
-///
-/// # Errors
-///
-/// [`AnalysisError::InvalidConfig`] on a bad `config` (this used to panic),
-/// and any error from the underlying analyses.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with `Method::Adaptive` (see README's migration table)"
-)]
-pub fn analyze_adaptive(
-    program: &gleipnir_circuit::Program,
-    input: &gleipnir_sim::BasisState,
-    noise: &gleipnir_noise::NoiseModel,
-    config: &AdaptiveConfig,
-) -> Result<AdaptiveReport, AnalysisError> {
-    let engine = crate::Engine::new();
-    let request = AnalysisRequest::builder(program.clone())
-        .input(input)
-        .noise(noise.clone())
-        .method(crate::Method::Adaptive(config.clone()))
-        .build()?;
-    engine
-        .analyze(&request)?
-        .into_adaptive()
-        .ok_or_else(|| AnalysisError::Unsupported("adaptive report expected".into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AnalysisRequest, Engine, Method};
     use gleipnir_circuit::{Program, ProgramBuilder};
     use gleipnir_noise::NoiseModel;
-    use gleipnir_sim::BasisState;
 
     fn adaptive(
         program: &Program,
@@ -366,22 +335,6 @@ mod tests {
             min_relative_improvement: 0.0,
         };
         let err = adaptive(&program, &NoiseModel::Noiseless, cfg).unwrap_err();
-        assert!(matches!(err, AnalysisError::InvalidConfig(_)), "{err}");
-
-        // The deprecated one-shot entry point reports the same error
-        // instead of panicking.
-        #[allow(deprecated)]
-        let err = analyze_adaptive(
-            &program,
-            &BasisState::zeros(4),
-            &NoiseModel::Noiseless,
-            &AdaptiveConfig {
-                start_width: 0,
-                max_width: 4,
-                min_relative_improvement: 0.0,
-            },
-        )
-        .unwrap_err();
         assert!(matches!(err, AnalysisError::InvalidConfig(_)), "{err}");
     }
 }

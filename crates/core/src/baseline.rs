@@ -257,47 +257,6 @@ fn exact_local_density(rho: &DensityMatrix, qubits: &[usize]) -> CMat {
     }
 }
 
-/// One-shot worst-case analysis, kept as a shim over a private engine.
-///
-/// # Errors
-///
-/// [`AnalysisError`] if an SDP fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with `Method::WorstCase` (see README's migration table)"
-)]
-pub fn worst_case_bound(
-    program: &Program,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-) -> Result<WorstCaseReport, AnalysisError> {
-    let engine = crate::Engine::with_options(*opts)?;
-    let request = AnalysisRequest::builder(program.clone())
-        .noise(noise.clone())
-        .method(crate::Method::WorstCase)
-        .build()?;
-    run_worst_case(&engine.handle(), &request)
-}
-
-/// One-shot LQR-full-sim analysis, kept as a shim.
-///
-/// # Errors
-///
-/// [`AnalysisError::Unsupported`] for branching programs or oversized
-/// registers, or SDP failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with `Method::LqrFullSim` (see README's migration table)"
-)]
-pub fn lqr_full_sim_bound(
-    program: &Program,
-    input: &BasisState,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-) -> Result<f64, AnalysisError> {
-    lqr_full_sim_impl(program, input, noise, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

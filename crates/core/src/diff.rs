@@ -182,9 +182,8 @@ fn shared_prefix_len(old: &[&Stmt], new: &[&Stmt]) -> usize {
 
 /// Splices a measure-free prefix skeleton and a suffix skeleton into the
 /// tree the full walk of `[prefix ++ suffix]` would have produced: the
-/// walk prepends each prefix node onto the suffix's `Seq` (wrapping a
-/// non-`Seq` suffix, e.g. a leading `Meas`, exactly like
-/// `plan::prepend` does).
+/// prefix nodes come first, then the suffix's `Seq` children (or the
+/// suffix itself when it is not a `Seq`, e.g. a leading `Meas`).
 fn merge_skeleton(prefix: Derivation, suffix: Derivation) -> Derivation {
     let mut children = match prefix {
         Derivation::Seq { children } => children,
@@ -706,7 +705,7 @@ mod tests {
             Derivation::Meas { .. }
         ));
         // Non-empty prefix + Meas suffix → the Meas becomes the last child,
-        // exactly like the walk's prepend wrap.
+        // exactly like the plan walk's `Seq[…, Meas]`.
         match merge_skeleton(
             Derivation::Seq {
                 children: vec![gate(1.0)],

@@ -93,12 +93,3 @@ pub use refine::{
 pub use report::Report;
 pub use request::{AnalysisRequest, AnalysisRequestBuilder, InputState, Method};
 pub use tiers::{BoundTier, TierCounts, TierPolicy, TierStats};
-
-// Pre-`Engine` one-shot entry points, kept as deprecated shims for
-// migration (see README's "migrating from `Analyzer`" table).
-#[allow(deprecated)]
-pub use adaptive::analyze_adaptive;
-#[allow(deprecated)]
-pub use baseline::{lqr_full_sim_bound, worst_case_bound};
-#[allow(deprecated)]
-pub use logic::{Analyzer, AnalyzerConfig};

@@ -126,7 +126,7 @@ pub(crate) fn plan_stmts(
         obligations: Vec::new(),
         final_delta: 0.0,
     };
-    let skeleton = planner.walk(stmts, mps)?;
+    let skeleton = planner.walk(stmts.iter().rev().copied().collect(), mps)?;
     Ok(Plan {
         skeleton,
         obligations: planner.obligations,
@@ -145,78 +145,81 @@ struct Planner<'a> {
 }
 
 impl Planner<'_> {
-    /// Recursive worklist walk — the same traversal as the pre-pipeline
-    /// sequential walk. `rest` holds the statements still to run;
-    /// measurement statements capture the continuation into both branches.
-    fn walk(&mut self, rest: &[&Stmt], mps: &mut Mps) -> Result<Derivation, AnalysisError> {
-        let Some((first, tail)) = rest.split_first() else {
-            self.final_delta = self.final_delta.max(mps.delta());
-            return Ok(Derivation::Seq {
-                children: Vec::new(),
-            });
-        };
-        match first {
-            Stmt::Skip => {
-                let mut node = self.walk(tail, mps)?;
-                prepend(&mut node, Derivation::Skip);
-                Ok(node)
-            }
-            Stmt::Seq(ss) => {
-                let mut flat: Vec<&Stmt> = ss.iter().collect();
-                flat.extend_from_slice(tail);
-                self.walk(&flat, mps)
-            }
-            Stmt::Gate(g) => {
-                let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
-                // ρ′ first (routing non-adjacent operands adds truncation
-                // that must be inside this gate's δ), then the gate.
-                let (rho_prime, delta) = mps.gate_snapshot(&qubits);
-                self.plan_gate(g, &rho_prime, delta);
-                mps.apply_gate(&g.gate, &qubits);
-                let gate_node = Derivation::Gate {
-                    gate: g.gate.clone(),
-                    qubits,
-                    rho_prime,
-                    delta,
-                    epsilon: f64::NAN, // filled by the assemble stage
-                };
-                let mut node = self.walk(tail, mps)?;
-                prepend(&mut node, gate_node);
-                Ok(node)
-            }
-            Stmt::IfMeasure { qubit, zero, one } => {
-                let delta_prob = mps.delta().min(1.0);
-                let plan_branch =
-                    |this: &mut Self,
-                     body: &Stmt,
-                     outcome: bool|
-                     -> Result<Option<Box<Derivation>>, AnalysisError> {
-                        let mut fork = mps.clone();
-                        match fork.collapse(qubit.0, outcome) {
-                            Ok(_p) => {
-                                let mut work: Vec<&Stmt> = vec![body];
-                                work.extend_from_slice(tail);
-                                let d = this.walk(&work, &mut fork)?;
-                                Ok(Some(Box::new(d)))
-                            }
-                            Err(MpsError::ZeroProbabilityOutcome { .. }) => Ok(None),
-                        }
-                    };
-                let zero_d = plan_branch(self, zero, false)?;
-                let one_d = plan_branch(self, one, true)?;
-                if zero_d.is_none() && one_d.is_none() {
-                    return Err(AnalysisError::Unsupported(
-                        "both measurement branches unreachable (state numerically degenerate)"
-                            .into(),
-                    ));
+    /// Plans `todo` (the statements still to run, next one on top) against
+    /// `mps`. Straight-line runs are planned iteratively; only a
+    /// measurement recurses, once per branch, with the continuation
+    /// captured into both. A run ending in a measurement becomes
+    /// `Seq[…, Meas]`, a lone measurement is a bare `Meas`, and any other
+    /// run is a flat `Seq` — the shape `tests/fixtures/sequential_oracle.txt`
+    /// pins and [`crate::diff`] splices.
+    fn walk(&mut self, mut todo: Vec<&Stmt>, mps: &mut Mps) -> Result<Derivation, AnalysisError> {
+        let mut children = Vec::new();
+        while let Some(stmt) = todo.pop() {
+            match stmt {
+                Stmt::Skip => children.push(Derivation::Skip),
+                Stmt::Seq(ss) => todo.extend(ss.iter().rev()),
+                Stmt::Gate(g) => {
+                    let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
+                    // ρ′ first (routing non-adjacent operands adds truncation
+                    // that must be inside this gate's δ), then the gate.
+                    let (rho_prime, delta) = mps.gate_snapshot(&qubits);
+                    self.plan_gate(g, &rho_prime, delta);
+                    mps.apply_gate(&g.gate, &qubits);
+                    children.push(Derivation::Gate {
+                        gate: g.gate.clone(),
+                        qubits,
+                        rho_prime,
+                        delta,
+                        epsilon: f64::NAN, // filled by the assemble stage
+                    });
                 }
-                Ok(Derivation::Meas {
-                    qubit: qubit.0,
-                    delta_prob,
-                    zero: zero_d,
-                    one: one_d,
-                })
+                Stmt::IfMeasure { qubit, zero, one } => {
+                    let delta_prob = mps.delta().min(1.0);
+                    let zero_d = self.branch(mps, qubit.0, false, zero, &todo)?;
+                    let one_d = self.branch(mps, qubit.0, true, one, &todo)?;
+                    if zero_d.is_none() && one_d.is_none() {
+                        return Err(AnalysisError::Unsupported(
+                            "both measurement branches unreachable (state numerically degenerate)"
+                                .into(),
+                        ));
+                    }
+                    let meas = Derivation::Meas {
+                        qubit: qubit.0,
+                        delta_prob,
+                        zero: zero_d,
+                        one: one_d,
+                    };
+                    if children.is_empty() {
+                        return Ok(meas);
+                    }
+                    children.push(meas);
+                    return Ok(Derivation::Seq { children });
+                }
             }
+        }
+        self.final_delta = self.final_delta.max(mps.delta());
+        Ok(Derivation::Seq { children })
+    }
+
+    /// Plans one measurement branch — `body`, then the continuation `todo`
+    /// — from a copy of `mps` collapsed to `outcome`; `None` when that
+    /// outcome has zero probability.
+    fn branch<'s>(
+        &mut self,
+        mps: &Mps,
+        qubit: usize,
+        outcome: bool,
+        body: &'s Stmt,
+        todo: &[&'s Stmt],
+    ) -> Result<Option<Box<Derivation>>, AnalysisError> {
+        let mut fork = mps.clone();
+        match fork.collapse(qubit, outcome) {
+            Ok(_p) => {
+                let mut work = todo.to_vec();
+                work.push(body);
+                Ok(Some(Box::new(self.walk(work, &mut fork)?)))
+            }
+            Err(MpsError::ZeroProbabilityOutcome { .. }) => Ok(None),
         }
     }
 
@@ -284,19 +287,6 @@ fn quantize(
         delta_eff,
         key,
     })
-}
-
-/// Prepends a node to a derivation that is expected to be a `Seq`.
-fn prepend(node: &mut Derivation, head: Derivation) {
-    match node {
-        Derivation::Seq { children } => children.insert(0, head),
-        other => {
-            let tail = std::mem::replace(other, Derivation::Skip);
-            *other = Derivation::Seq {
-                children: vec![head, tail],
-            };
-        }
-    }
 }
 
 #[cfg(test)]

@@ -146,9 +146,8 @@ struct PoolShared {
 /// A fixed-size pool of worker threads executing submitted jobs FIFO.
 ///
 /// Workers are spawned **lazily on the first submitted job**: engines
-/// built for pool-free work (the deprecated one-shot shims, worst-case /
-/// LQR requests, CLI commands that never analyze) pay nothing for the
-/// configured cap.
+/// built for pool-free work (worst-case / LQR requests, CLI commands that
+/// never analyze) pay nothing for the configured cap.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -199,14 +198,9 @@ impl WorkerPool {
         let mut handles = lock(&self.handles);
         for i in 0..self.threads - 1 {
             let shared = Arc::clone(&self.shared);
-            // Workers get the same 8 MiB stack a main thread has: the
-            // plan walk recurses once per program statement, and a
-            // program that plans fine on the main thread must not abort
-            // a worker (stack overflow cannot be caught).
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("gleipnir-worker-{i}"))
-                    .stack_size(8 * 1024 * 1024)
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn engine worker thread"),
             );
@@ -237,7 +231,6 @@ impl WorkerPool {
             lock(&self.handles).push(
                 std::thread::Builder::new()
                     .name("gleipnir-refine-0".into())
-                    .stack_size(8 * 1024 * 1024)
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn background worker thread"),
             );

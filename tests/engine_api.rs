@@ -422,3 +422,48 @@ fn report_accessors_dispatch_by_method() {
     // LQR ≈ state-aware on an exactly-represented circuit.
     assert!((lqr.error_bound() - state.error_bound()).abs() < 1e-5);
 }
+
+/// Planning is iterative over straight-line code: a 30 000-gate one-qubit
+/// program analyzes exact and fast, and plans through `analyze_diff`, on a
+/// thread with Rust's default 2 MiB stack.
+#[test]
+fn long_straight_line_program_plans_on_a_default_stack() {
+    const GATES: usize = 30_000;
+    std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(|| {
+            let program = |theta: f64| {
+                let mut b = ProgramBuilder::new(1);
+                for _ in 0..GATES - 1 {
+                    b.h(0);
+                }
+                b.rx(0, theta);
+                b.build()
+            };
+            let request = |theta: f64, tiers: TierPolicy| {
+                AnalysisRequest::builder(program(theta))
+                    .noise(bit_flip(1e-4))
+                    .method(Method::StateAware { mps_width: 2 })
+                    .tiering(tiers)
+                    .build()
+                    .expect("valid request")
+            };
+            let engine = Engine::new();
+            for tiers in [TierPolicy::exact(), TierPolicy::fast()] {
+                let report = engine
+                    .analyze(&request(0.3, tiers))
+                    .expect("analysis succeeds");
+                assert!(report.error_bound().is_finite());
+            }
+            let diff = engine
+                .analyze_diff(
+                    &request(0.3, TierPolicy::exact()),
+                    &request(0.7, TierPolicy::exact()),
+                )
+                .expect("diff succeeds");
+            assert_eq!(diff.prefix_gates_reused(), GATES - 1);
+        })
+        .expect("spawn test thread")
+        .join()
+        .expect("analysis thread finishes");
+}

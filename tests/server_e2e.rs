@@ -288,6 +288,34 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     server.join();
 }
 
+/// A 30 000-gate straight-line program (~180 KB, far under the body cap)
+/// is answered with a 200, and the daemon keeps serving afterwards.
+#[test]
+fn long_program_is_answered_and_daemon_survives() {
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr();
+
+    let source = format!("qubits 1;\n{}", "h q0;\n".repeat(30_000));
+    let body = format!(
+        "{{\"source\":{},\"name\":\"h30k\",\"width\":2}}",
+        json_str(&source)
+    );
+    let (status, body) = post(addr, "/analyze", &body);
+    assert_eq!(status, 200, "{body}");
+    let eps = report_field(&body, "error_bound").as_f64().unwrap();
+    assert!(eps.is_finite() && eps > 0.0);
+
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    server.join();
+}
+
 /// `POST /diff` end to end: the diff reuses the unchanged prefix, its
 /// bound is bit-identical to a plain `/analyze` of the new program, and
 /// the metrics `diff` section records the reuse.

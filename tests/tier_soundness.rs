@@ -19,7 +19,9 @@
 //! in `crates/core/src/tiers.rs` — they need to plant certificates in the
 //! cache directly.
 
+use gleipnir::core::CertStore;
 use gleipnir::prelude::*;
+use gleipnir::sdp::SolverProfile;
 use gleipnir::workloads::{determinism_suite, ising_chain};
 
 const NOISE_P: f64 = 1e-3;
@@ -395,5 +397,139 @@ fn tier_accounting_partitions_the_gates() {
         // The tier split itself partitions the solves.
         let t = report.tier_counts();
         assert_eq!(t.warm + t.cold, report.sdp_solves());
+    }
+}
+
+/// The solver's bit-stability contract on Ising-288 (`ising_chain(12, 12)`,
+/// w = 8). The structure-exploiting kernels may move wall time, never ε
+/// bits, and interior-point iteration counts are a bit-for-bit proxy: one
+/// reassociated FLOP anywhere in the loop shifts the trajectory and shows
+/// up here as a count change. Five passes:
+///
+/// * `bitflip_exact` — tiering OFF: every judgment is a cold SDP solve;
+/// * `bitflip_fast` — tiering ON: bit flips are a Pauli mixture, so Tier 0
+///   answers every judgment and the solver never runs;
+/// * `ampdamp_seed` — amplitude damping (no Tier 0) solved cold at δ
+///   quantum 1e-6, its certificates persisted to a [`CertStore`];
+/// * `ampdamp_rebucket_cold` / `ampdamp_rebucket_warm` — fresh engines
+///   loaded from that store and re-analyzed at quantum 1.1e-6 (every
+///   content address misses), tiering OFF, then warm starts only: each
+///   solve starts from a neighboring donor dual.
+#[test]
+fn ising288_solver_iteration_counts_are_pinned() {
+    const WIDTH: usize = 8;
+    let program = ising_chain(12, 12, 1.0, 1.0, 0.1);
+    let bitflip = NoiseModel::uniform_bit_flip(1e-4);
+    let ampdamp = NoiseModel::uniform_amplitude_damping(1e-4);
+
+    let exact = analyze(
+        &Engine::new(),
+        &program,
+        &bitflip,
+        WIDTH,
+        1e-6,
+        TierPolicy::exact(),
+    );
+    let fast = analyze(
+        &Engine::new(),
+        &program,
+        &bitflip,
+        WIDTH,
+        1e-6,
+        TierPolicy::fast(),
+    );
+
+    let store_dir =
+        std::env::temp_dir().join(format!("gleipnir-solver-pins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let seed_engine = Engine::new();
+    let mut store = CertStore::open(&store_dir).expect("store dir");
+    let seed = analyze(
+        &seed_engine,
+        &program,
+        &ampdamp,
+        WIDTH,
+        1e-6,
+        TierPolicy::exact(),
+    );
+    store
+        .persist_new(&seed_engine)
+        .expect("persist seed certificates");
+    let loaded = |label: &str| {
+        let engine = Engine::new();
+        let stats = CertStore::open(&store_dir)
+            .expect("store dir")
+            .load_into(&engine)
+            .expect("load store");
+        assert!(stats.loaded > 0, "{label}: the store must warm the engine");
+        engine
+    };
+    let cold = analyze(
+        &loaded("cold"),
+        &program,
+        &ampdamp,
+        WIDTH,
+        1.1e-6,
+        TierPolicy::exact(),
+    );
+    let warm = analyze(
+        &loaded("warm"),
+        &program,
+        &ampdamp,
+        WIDTH,
+        1.1e-6,
+        TierPolicy {
+            closed_form: false,
+            warm_start: true,
+        },
+    );
+    let _ = std::fs::remove_dir_all(&store_dir);
+
+    let passes = [
+        ("bitflip_exact", &exact, 2934),
+        ("bitflip_fast", &fast, 0),
+        ("ampdamp_seed", &seed, 2521),
+        ("ampdamp_rebucket_cold", &cold, 2521),
+        ("ampdamp_rebucket_warm", &warm, 1907),
+    ];
+    for (name, report, pinned) in passes {
+        assert_eq!(
+            report.ip_iterations(),
+            pinned,
+            "{name}: the solver's floating-point trajectory changed; \
+             a kernel edit reassociated arithmetic"
+        );
+    }
+
+    // The tiers are alive: ≥ 1 Tier 0 / Tier 1 answer, and fewer
+    // interior-point iterations with them than without.
+    assert!(
+        fast.tier_counts().closed_form >= 1,
+        "{:?}",
+        fast.tier_counts()
+    );
+    assert!(warm.tier_counts().warm >= 1, "{:?}", warm.tier_counts());
+    assert!(fast.ip_iterations() < exact.ip_iterations());
+    assert!(warm.ip_iterations() < cold.ip_iterations());
+
+    // Every pass that solved SDPs carries a live per-phase profile whose
+    // seven phase walls account for at least half of, and at most, its
+    // total; the Tier-0-only pass never enters the solver.
+    for (name, report, _) in passes {
+        let profile = report.solver_profile();
+        if name == "bitflip_fast" {
+            assert_eq!(profile, SolverProfile::default(), "{name}");
+            continue;
+        }
+        let phases = profile.phase_ms();
+        assert!(
+            profile.total_ms > 0.0 && phases > 0.0,
+            "{name}: {profile:?}"
+        );
+        assert!(
+            0.5 * profile.total_ms <= phases && phases <= profile.total_ms,
+            "{name}: phases sum to {phases} ms of {} ms",
+            profile.total_ms
+        );
     }
 }
